@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import StrEnum
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Generator
 
 from repro.crypto.costmodel import CryptoMeter
@@ -54,7 +55,15 @@ from repro.hip.identity import (
 )
 from repro.metrics import METRICS, RECORDER
 from repro.net.addresses import IPAddress, is_hit, is_lsi
-from repro.net.packet import ESPHeader, HIPHeader, IPHeader, Packet
+from repro.net.packet import (
+    ESPHeader,
+    HIPHeader,
+    ICMPHeader,
+    IPHeader,
+    Packet,
+    TCPHeader,
+    UDPHeader,
+)
 from repro.sim.resources import Queue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,6 +94,9 @@ _ESP_ENC_LSI = "esp.encrypt.lsi"
 _ESP_ENC_HIT = "esp.encrypt.hit"
 _ESP_DEC_LSI = "esp.decrypt.lsi"
 _ESP_DEC_HIT = "esp.decrypt.hit"
+
+# Transport header type -> inner IP proto of a decapsulated packet.
+_INNER_PROTO = MappingProxyType({TCPHeader: "tcp", UDPHeader: "udp", ICMPHeader: "icmp"})
 
 
 class HipError(Exception):
@@ -209,6 +221,8 @@ class HipDaemon:
         self.assocs: dict[IPAddress, Association] = {}
         self._spi_counter = rng.randrange(0x1000, 0xFFFF)
         self._sa_in_by_spi: dict[int, Association] = {}
+        # (peer HIT, address kind, proto) -> rebuilt inner IP header.
+        self._inner_ip: dict[tuple[IPAddress, str, str], IPHeader] = {}
 
         node.add_output_shim(self._output_shim)
         node.register_protocol("hip", self._on_hip_packet)
@@ -332,14 +346,17 @@ class HipDaemon:
     def _rx_worker(self) -> Generator:
         while True:
             packet = yield self._rx.get()
-            ip, rest = packet.popped()
-            esp_header, body = rest.popped()
-            assert isinstance(esp_header, ESPHeader)
+            # Outer IP header, then ESP; anything else is a forgery.
+            headers = packet.headers
+            esp_header = headers[1] if len(headers) > 1 else None
+            if not isinstance(esp_header, ESPHeader):
+                self._drop_esp(None, "malformed_header")
+                continue
             assoc = self._sa_in_by_spi.get(esp_header.spi)
             if assoc is None or assoc.sa_in is None:
                 self._drop_esp(esp_header, "unknown_spi")
                 continue
-            payload = body.payload
+            payload = packet.payload
             if not isinstance(payload, EspCiphertext):
                 self._drop_esp(esp_header, "malformed_payload")
                 continue
@@ -405,13 +422,16 @@ class HipDaemon:
             _DATA_RECV.value += n_segments
         self.node.cpu_busy_seconds += per_seg * n_segments
 
-    def _drop_esp(self, esp_header: ESPHeader, reason: str) -> None:
+    def _drop_esp(self, esp_header: ESPHeader | None, reason: str) -> None:
+        """Count a dropped ESP packet; ``esp_header`` is None if it had none."""
         self.drops_esp += 1
         _ESP_DROPS.inc()
         if RECORDER.enabled:
             RECORDER.record(
                 self.sim.now, "hip", "esp_drop", node=self.node.name,
-                spi=esp_header.spi, seq=esp_header.seq, reason=reason,
+                spi=esp_header.spi if esp_header is not None else None,
+                seq=esp_header.seq if esp_header is not None else None,
+                reason=reason,
             )
 
     def _rebuild_inner(self, inner: Packet, assoc: Association, kind: str) -> Packet:
@@ -419,32 +439,25 @@ class HipDaemon:
 
         In BEET mode the inner IP header never crosses the wire; each end
         regenerates it from the SPI-bound HIT pair.  LSIs are host-local, so
-        the receiver maps the peer's HIT to its *own* LSI allocation.
+        the receiver maps the peer's HIT to its *own* LSI allocation.  The
+        header is an immutable value, so one per (peer HIT, address kind,
+        proto) serves every packet of the association.
         """
-        if inner.headers and isinstance(inner.outer, IPHeader):
-            old_ip, transport = inner.popped()
-        else:
-            transport = inner
-        if kind == "lsi":
-            src = self.lsi.assign(assoc.peer_hit)
-            dst = self.lsi.own_lsi
-        else:
-            src = assoc.peer_hit
-            dst = self.hit
-        return transport.pushed(IPHeader(src=src, dst=dst, proto=self._inner_proto(transport)))
-
-    @staticmethod
-    def _inner_proto(transport: Packet) -> str:
-        from repro.net.packet import ICMPHeader, TCPHeader, UDPHeader
-
-        head = transport.headers[0] if transport.headers else None
-        if isinstance(head, TCPHeader):
-            return "tcp"
-        if isinstance(head, UDPHeader):
-            return "udp"
-        if isinstance(head, ICMPHeader):
-            return "icmp"
-        return "raw"
+        headers = inner.headers
+        if headers and isinstance(headers[0], IPHeader):
+            headers = headers[1:]
+        proto = _INNER_PROTO.get(type(headers[0]), "raw") if headers else "raw"
+        key = (assoc.peer_hit, kind, proto)
+        ip = self._inner_ip.get(key)
+        if ip is None:
+            if kind == "lsi":
+                src = self.lsi.assign(assoc.peer_hit)
+                dst = self.lsi.own_lsi
+            else:
+                src = assoc.peer_hit
+                dst = self.hit
+            ip = self._inner_ip[key] = IPHeader(src=src, dst=dst, proto=proto)
+        return Packet((ip,) + headers, inner.payload, inner.meta, inner.packet_id)
 
     # ------------------------------------------------------------ associations --
     def _transition(

@@ -20,8 +20,10 @@ virtual payloads take a cost-only fast path with identical size accounting.
 from __future__ import annotations
 
 import enum
+import itertools
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.crypto.aes import AES
 from repro.crypto.hmac_kdf import HmacKey, ct_equal
@@ -60,37 +62,66 @@ class EspMode(enum.Enum):
     TUNNEL = "tunnel"
 
 
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_IP_FIELDS = struct.Struct(">2sBB")
+_TCP_FIELDS = struct.Struct(">2sHHIIBI")
+_UDP_FIELDS = struct.Struct(">2sHH")
+_ICMP_FIELDS = struct.Struct(">HI")
+_SPI_SEQ = struct.Struct(">II")
+_IV_INPUT = struct.Struct(">IQ")
+
+
+def _flag_bits(flags) -> int:
+    return sum(1 << i for i, f in enumerate(("SYN", "ACK", "FIN", "RST")) if f in flags)
+
+
+# Every subset of the TCP flags the stack sets, encoded once at import.
+_TCP_FLAG_BITS = MappingProxyType({
+    frozenset(combo): _flag_bits(frozenset(combo))
+    for n in range(7)
+    for combo in itertools.combinations(("SYN", "ACK", "FIN", "RST", "ECE", "CWR"), n)
+})
+
+
 def canonical_header_bytes(header: Header) -> bytes:
     """Deterministic byte encoding of transport/IP headers for real encryption."""
-    if isinstance(header, IPHeader):
-        return (
-            b"IP" + struct.pack(">BB", header.family, header.ttl)
-            + header.src.packed() + header.dst.packed() + header.proto.encode()
-        )
     if isinstance(header, TCPHeader):
-        flag_bits = sum(
-            1 << i for i, f in enumerate(("SYN", "ACK", "FIN", "RST")) if f in header.flags
-        )
-        return b"TC" + struct.pack(
-            ">HHIIBI", header.src_port, header.dst_port, header.seq,
+        flag_bits = _TCP_FLAG_BITS.get(header.flags)
+        if flag_bits is None:
+            flag_bits = _flag_bits(header.flags)
+        return _TCP_FIELDS.pack(
+            b"TC", header.src_port, header.dst_port, header.seq,
             header.ack, flag_bits, header.window,
         )
+    if isinstance(header, IPHeader):
+        return (
+            _IP_FIELDS.pack(b"IP", header.family, header.ttl)
+            + header.src.packed() + header.dst.packed() + header.proto.encode()
+        )
     if isinstance(header, UDPHeader):
-        return b"UD" + struct.pack(">HH", header.src_port, header.dst_port)
+        return _UDP_FIELDS.pack(b"UD", header.src_port, header.dst_port)
     if isinstance(header, ICMPHeader):
-        return b"IC" + header.kind.encode() + struct.pack(">HI", header.ident, header.seq)
+        return b"IC" + header.kind.encode() + _ICMP_FIELDS.pack(header.ident, header.seq)
     raise TypeError(f"no canonical encoding for {type(header).__name__}")
+
+
+def canonical_bytes(headers: tuple[Header, ...], payload) -> bytes | None:
+    """Byte-serialize a header stack and payload; None if the payload is virtual."""
+    if not isinstance(payload, (bytes, bytearray)):
+        return None
+    parts = [_U8.pack(len(headers))]
+    for header in headers:
+        encoded = canonical_header_bytes(header)
+        parts.append(_U16.pack(len(encoded)))
+        parts.append(encoded)
+    parts.append(payload)
+    return b"".join(parts)
 
 
 def canonical_packet_bytes(packet: Packet) -> bytes | None:
     """Byte-serialize a packet for encryption; None if payload is virtual."""
-    if not isinstance(packet.payload, (bytes, bytearray)):
-        return None
-    out = struct.pack(">B", len(packet.headers))
-    for header in packet.headers:
-        encoded = canonical_header_bytes(header)
-        out += struct.pack(">H", len(encoded)) + encoded
-    return out + bytes(packet.payload)
+    return canonical_bytes(packet.headers, packet.payload)
 
 
 @dataclass(frozen=True)
@@ -157,10 +188,10 @@ class SecurityAssociation:
         self.seq += 1
         self.packets_protected += 1
         _PROTECTED.value += 1
-        plain = self._plaintext_view(inner)
-        real = canonical_packet_bytes(plain)
+        headers = self._plaintext_headers(inner)
+        real = canonical_bytes(headers, inner.payload)
         # Pad plaintext + 2 trailer bytes to the AES block size.
-        base_len = len(plain)
+        base_len = sum(h.header_len for h in headers) + len(inner.payload)
         pad_len = (-(base_len + 2)) % 16 if self.encrypt else 0
         header = ESPHeader(
             spi=self.spi, seq=self.seq,
@@ -168,10 +199,10 @@ class SecurityAssociation:
             icv_len=ICV_LEN, pad_len=pad_len,
         )
         if real is not None and self.encrypt:
-            iv = self._iv_hmac.digest(struct.pack(">IQ", self.spi, self.seq))[:16]
+            iv = self._iv_hmac.digest(_IV_INPUT.pack(self.spi, self.seq))[:16]
             ciphertext = cbc_encrypt(self._aes, iv, real)
             icv = self._icv_hmac.digest(
-                struct.pack(">II", self.spi, self.seq) + iv + ciphertext
+                _SPI_SEQ.pack(self.spi, self.seq) + iv + ciphertext
             )[:ICV_LEN]
             # Padding/IV/ICV are accounted in ESPHeader.header_len, so the
             # ciphertext contributes exactly the plaintext length.
@@ -181,12 +212,12 @@ class SecurityAssociation:
             )
         return header, EspCiphertext(inner=inner, wire_len=base_len)
 
-    def _plaintext_view(self, inner: Packet) -> Packet:
-        """What actually goes on the wire: BEET strips the inner IP header."""
-        if self.mode is EspMode.BEET and inner.headers and isinstance(inner.outer, IPHeader):
-            _ip, transport = inner.popped()
-            return transport
-        return inner
+    def _plaintext_headers(self, inner: Packet) -> tuple[Header, ...]:
+        """Headers that actually go on the wire: BEET strips the inner IP header."""
+        headers = inner.headers
+        if self.mode is EspMode.BEET and headers and isinstance(headers[0], IPHeader):
+            return headers[1:]
+        return headers
 
     # -- inbound -----------------------------------------------------------------
     def verify(self, header: ESPHeader, payload: EspCiphertext) -> Packet:
@@ -197,7 +228,7 @@ class SecurityAssociation:
         if payload.ciphertext is not None:
             assert payload.iv is not None and payload.icv is not None
             expect_icv = self._icv_hmac.digest(
-                struct.pack(">II", header.spi, header.seq) + payload.iv + payload.ciphertext
+                _SPI_SEQ.pack(header.spi, header.seq) + payload.iv + payload.ciphertext
             )[:ICV_LEN]
             if not ct_equal(expect_icv, payload.icv):
                 self.auth_failures += 1
@@ -209,7 +240,8 @@ class SecurityAssociation:
                 self.auth_failures += 1
                 _AUTH_FAILURES.inc()
                 raise EspError(f"decryption failed: {exc}") from exc
-            reference = canonical_packet_bytes(self._plaintext_view(payload.inner))
+            inner = payload.inner
+            reference = canonical_bytes(self._plaintext_headers(inner), inner.payload)
             if plain != reference:
                 self.auth_failures += 1
                 _AUTH_FAILURES.inc()
@@ -244,11 +276,12 @@ class SecurityAssociation:
 
     def overhead_bytes(self, inner: Packet) -> int:
         """Per-packet wire overhead vs sending ``inner`` unprotected."""
-        plain = self._plaintext_view(inner)
-        pad_len = (-(len(plain) + 2)) % 16 if self.encrypt else 0
+        headers = self._plaintext_headers(inner)
+        plain_len = sum(h.header_len for h in headers) + len(inner.payload)
+        pad_len = (-(plain_len + 2)) % 16 if self.encrypt else 0
         esp = ESPHeader(spi=self.spi, seq=0, iv_len=IV_LEN if self.encrypt else 0,
                         icv_len=ICV_LEN, pad_len=pad_len)
-        protected = esp.header_len + len(plain)
+        protected = esp.header_len + plain_len
         return protected - len(inner)
 
 

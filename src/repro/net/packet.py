@@ -11,7 +11,7 @@ still paying correct serialization, encryption and queueing costs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 from repro.net.addresses import IPAddress
@@ -178,21 +178,28 @@ class Packet:
                 return h
         return None
 
+    # The three rebuilders run several times per tunneled packet, so they
+    # call the constructor directly.  Each keeps ``packet_id``.  ``pushed``
+    # and ``popped`` share ``meta`` with the source, so a CE mark a link
+    # writes in place reaches every view of the packet; ``with_meta`` gives
+    # its result a fresh dict.
+
     def pushed(self, header: Header) -> "Packet":
         """New packet with ``header`` prepended (encapsulation)."""
-        return replace(self, headers=(header,) + self.headers)
+        return Packet((header,) + self.headers, self.payload, self.meta, self.packet_id)
 
     def popped(self) -> tuple[Header, "Packet"]:
         """Remove the outermost header; returns (header, inner packet)."""
-        if not self.headers:
+        headers = self.headers
+        if not headers:
             raise ValueError("cannot pop from header-less packet")
-        return self.headers[0], replace(self, headers=self.headers[1:])
+        return headers[0], Packet(headers[1:], self.payload, self.meta, self.packet_id)
 
     def with_meta(self, **kv) -> "Packet":
         # repro: ignore[PERF001] -- meta propagation copies one small dict per rebuilt packet by design; measured in BENCH_sim.json (PR 5) and dwarfed by the crypto work on the same path
         merged = dict(self.meta)
         merged.update(kv)
-        return replace(self, meta=merged)
+        return Packet(self.headers, self.payload, merged, self.packet_id)
 
     def __len__(self) -> int:
         """Packets can be payloads of other packets (tunneling: ESP, Teredo)."""

@@ -202,9 +202,11 @@ class SslVpnDaemon:
             if kind is not None:
                 yield from self._handle_control(packet)
                 continue
-            ip, rest = packet.popped()
-            record, body = rest.popped()
-            if not isinstance(record, VpnRecordHeader) or not isinstance(body.payload, Packet):
+            # Outer IP header, then the record header; anything else is forged.
+            headers = packet.headers
+            record = headers[1] if len(headers) > 1 else None
+            inner = packet.payload
+            if not isinstance(record, VpnRecordHeader) or not isinstance(inner, Packet):
                 self.drops += 1
                 continue
             peer_vpn = packet.meta.get("vpn_src")
@@ -212,7 +214,6 @@ class SslVpnDaemon:
             if tunnel is None or not tunnel.is_established:
                 self.drops += 1
                 continue
-            inner = body.payload
             cm = self.node.cost_model
             cost = cm.tls_record_cost(inner.size_bytes)
             self.meter.charge("vpn.record.in", cost)

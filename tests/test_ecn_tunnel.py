@@ -12,6 +12,8 @@ import random
 from repro.crypto.rsa import RsaKeyPair
 from repro.hip.daemon import HipDaemon
 from repro.net.addresses import IPAddress, ipv4
+from repro.net.icmp import IcmpStack, ping
+from repro.net.link import WIRE_TAPS
 from repro.net.packet import VirtualPayload
 from repro.net.tcp import TcpStack
 from repro.net.topology import lan_pair
@@ -62,6 +64,34 @@ def test_ce_mark_crosses_esp_tunnel(sim, session_identities):
     out = _run_bulk(sim, tb, ta, da.lsi_for_peer(db.hit))
     assert out["received"] == N_BYTES
     assert out["conn"].ecn_reductions >= 1
+
+
+def test_esp_wire_packets_do_not_share_meta(sim, session_identities):
+    """A link marks CE by writing ``packet.meta`` in place, so each ESP wire
+    packet needs a meta dict of its own: one dict shared between packets
+    would spread a single mark to every packet holding it."""
+    a, b = lan_pair(sim, "a", "b")
+    da = HipDaemon(a, session_identities["a"], rng=random.Random(11))
+    db = HipDaemon(b, session_identities["b"], rng=random.Random(22))
+    da.add_peer(db.hit, [ipv4("10.0.0.2")])
+    db.add_peer(da.hit, [ipv4("10.0.0.1")])
+    icmp_a, _ = IcmpStack(a), IcmpStack(b)
+    wire = []
+
+    def tap(packet):
+        if packet.headers and getattr(packet.headers[0], "proto", None) == "esp":
+            wire.append(packet)
+
+    WIRE_TAPS.append(tap)
+    try:
+        for dst in (db.hit, da.lsi_for_peer(db.hit)):
+            proc = sim.process(ping(icmp_a, dst, count=2, interval=0.01, timeout=5.0))
+            assert all(r is not None for r in sim.run(until=proc))
+    finally:
+        WIRE_TAPS.remove(tap)
+    assert len(wire) == 8  # 2 echoes + 2 replies, over the HIT and the LSI
+    assert len({id(p.meta) for p in wire}) == len(wire)
+    assert {p.meta["addr_kind"] for p in wire} == {"hit", "lsi"}
 
 
 def test_ce_mark_crosses_vpn_tunnel(sim):

@@ -9,8 +9,10 @@ from repro.crypto.hmac_kdf import hmac_digest
 from repro.hip import packets as hp
 from repro.hip.daemon import HipConfig, HipDaemon
 from repro.hip.identity import HostIdentity, hit_from_public_key
+from repro.metrics import METRICS, RECORDER
 from repro.net.addresses import ipv4, ipv6, prefix
 from repro.net.icmp import IcmpStack, ping
+from repro.net.packet import Packet, UDPHeader
 from repro.net.topology import lan_pair, wire
 from repro.sim import Simulator
 
@@ -120,6 +122,27 @@ class TestForgedControlPackets:
         a.send_ip(B, "esp", spoofed)
         sim.run(until=sim.now + 1)
         assert db.drops_esp >= 1
+
+    @pytest.mark.parametrize(
+        "headers", [(), (UDPHeader(1, 2),)], ids=["header-less", "udp-in-esp-slot"]
+    )
+    def test_esp_injection_with_malformed_header_dropped(self, hip_pair, drive, headers):
+        """A forged ``esp`` packet with no ESP header is counted and dropped;
+        the receive worker survives to decapsulate the next real packet."""
+        sim, a, b, da, db = hip_pair
+        drive(sim, da.associate(db.hit))
+        drops_before = METRICS.counter("hip.esp_drops").value
+        RECORDER.clear()
+        with RECORDER.recording():
+            a.send_ip(B, "esp", Packet(headers=headers))
+            sim.run(until=sim.now + 1)
+            reasons = [ev.fields["reason"] for ev in RECORDER.events("hip", "esp_drop")]
+        assert reasons == ["malformed_header"]
+        assert db.drops_esp == 1
+        assert METRICS.counter("hip.esp_drops").value == drops_before + 1
+        icmp_a, _ = IcmpStack(a), IcmpStack(b)
+        rtts = drive(sim, ping(icmp_a, db.hit, count=1, timeout=5.0))
+        assert rtts[0] is not None
 
 
 class TestCrossFamilyHandover:

@@ -264,6 +264,32 @@ class TestCanonicalBytes:
         pkt = Packet(headers=(), payload=VirtualPayload(10))
         assert canonical_packet_bytes(pkt) is None
 
+    def test_encoding_is_pinned(self):
+        """The encoding is the ESP plaintext, so every ciphertext follows it."""
+        from repro.net.packet import ICMPHeader
+
+        pkt = Packet(
+            headers=(
+                IPHeader(src=ipv4("1.2.3.4"), dst=ipv4("5.6.7.8"), proto="tcp", ttl=9),
+                TCPHeader(src_port=1, dst_port=2, seq=3, ack=4,
+                          flags=frozenset({"SYN", "ACK", "ECE"}), window=5),
+                UDPHeader(src_port=6, dst_port=7),
+                ICMPHeader(kind="echo-reply", ident=8, seq=9),
+            ),
+            payload=b"xyz",
+        )
+        assert canonical_packet_bytes(pkt).hex() == (
+            "04000f4950040901020304050607087463700013544300010002000000030000"
+            "000403000000050006554400060007001249436563686f2d7265706c79000800"
+            "00000978797a"
+        )
+        # Flags outside the import-time table (a tuple here) encode the same way.
+        odd = Packet(headers=(TCPHeader(src_port=1, dst_port=2, flags=("FIN", "RST")),),
+                     payload=bytearray(b"ab"))
+        assert canonical_packet_bytes(odd).hex() == (
+            "01001354430001000200000000000000000c0000ffff6162"
+        )
+
     def test_distinct_headers_distinct_bytes(self):
         p1 = Packet(headers=(TCPHeader(src_port=1, dst_port=2, seq=9),), payload=b"")
         p2 = Packet(headers=(TCPHeader(src_port=1, dst_port=2, seq=10),), payload=b"")

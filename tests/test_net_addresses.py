@@ -166,6 +166,34 @@ class TestPacket:
         _, inner = wrapped.popped()
         assert inner.meta["flow"] == 7
 
+    def test_rebuilders_keep_packet_id_without_drawing_one(self):
+        pkt = self._tcp_packet()
+        wrapped = pkt.pushed(ESPHeader(spi=1, seq=1))
+        _, inner = wrapped.popped()
+        tagged = inner.with_meta(flow=7)
+        assert {wrapped.packet_id, inner.packet_id, tagged.packet_id} == {pkt.packet_id}
+        # The rebuilds drew no id: the next fresh packet takes the next one.
+        assert self._tcp_packet().packet_id == pkt.packet_id + 1
+
+    def test_push_and_pop_share_the_meta_dict(self):
+        # Links mark CE by writing ``packet.meta`` in place; a mark on a
+        # re-headered copy must stay visible through the original.
+        pkt = self._tcp_packet()
+        wrapped = pkt.pushed(ESPHeader(spi=1, seq=1))
+        _, inner = wrapped.popped()
+        assert wrapped.meta is pkt.meta
+        assert inner.meta is pkt.meta
+        wrapped.meta["ce"] = True
+        assert pkt.meta == {"ce": True}
+
+    def test_with_meta_returns_a_fresh_merged_dict(self):
+        pkt = self._tcp_packet().with_meta(flow=7)
+        tagged = pkt.with_meta(ce=True)
+        assert tagged.meta == {"flow": 7, "ce": True}
+        assert tagged.meta is not pkt.meta
+        assert pkt.meta == {"flow": 7}
+        assert tagged.headers == pkt.headers and tagged.payload is pkt.payload
+
     def test_packet_as_payload(self):
         inner = self._tcp_packet(b"x" * 10)
         outer = Packet(

@@ -9,6 +9,8 @@ referee for every fast-path optimization — if one reorders, drops, or
 duplicates a traced event, the digests split.
 """
 
+import functools
+
 import pytest
 
 import repro.sim.engine as engine
@@ -176,11 +178,11 @@ def fluid_bulk_scenario():
     sim.close()
 
 
-def rubis_scenario():
+def rubis_scenario(security="basic"):
     from repro.apps.workload import ClosedLoopClients
     from repro.scenarios.rubis_cloud import FRONTEND_PORT, build_rubis_cloud
 
-    dep = build_rubis_cloud(seed=7, security="basic", n_web=1, extra_tenants=0)
+    dep = build_rubis_cloud(seed=7, security=security, n_web=1, extra_tenants=0)
     clients = ClosedLoopClients(
         dep.client_node, dep.client_tcp, dep.frontend_addr, FRONTEND_PORT,
         n_clients=2, rng=dep.rngs.stream("replay-smoke"),
@@ -204,6 +206,25 @@ def test_rubis_trace_digest_equal_across_modes(each_mode):
     assert runs[False].n_events == runs[True].n_events
     assert runs[False].digest == runs[True].digest
     assert runs[False].n_events > 1000
+
+
+#: Golden fast-mode (event count, digest) of ``rubis_scenario`` over HIP
+#: BEET-ESP and over the SSL-VPN.  Cross-mode equality alone cannot catch a
+#: shared-path change (the ESP and VPN workers run identically in both
+#: engine modes), so these pin the traced stream itself: a rewrite of the
+#: tunnel dataplane must leave every traced event as it was.
+PINNED_RUBIS_DIGESTS = {
+    "hip": (10185, "175d98ae0602634fde4cf6fd3ec4ff2c9394c74345cfe89542af8f6194a22f4a"),
+    "ssl": (7998, "3cd7acec7a8db9621a687b4430e5023f079f5106c50ffb519e94ec64e5a79f71"),
+}
+
+
+@pytest.mark.parametrize("security", sorted(PINNED_RUBIS_DIGESTS))
+def test_rubis_tunnel_trace_digest_pinned(each_mode, security):
+    runs = each_mode(functools.partial(rubis_scenario, security))
+    assert runs[False].n_events == runs[True].n_events
+    assert runs[False].digest == runs[True].digest
+    assert (runs[True].n_events, runs[True].digest) == PINNED_RUBIS_DIGESTS[security]
 
 
 def test_lossy_link_trace_digest_equal_across_modes(each_mode):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.rsa import RsaKeyPair
 from repro.net.addresses import IPAddress, ipv4
-from repro.net.packet import VirtualPayload
+from repro.net.packet import Packet, VirtualPayload
 from repro.net.tcp import TcpStack
 from repro.net.topology import lan_pair
 from repro.sim import Simulator
@@ -259,6 +259,20 @@ class TestSslVpn:
         assert va.meter.ops.get("vpn.record.out", 0) >= 5
         assert vb.meter.ops.get("vpn.record.in", 0) >= 5
         assert va.meter.ops.get("vpn.asym.encrypt") == 1  # handshake once
+
+    def test_headerless_record_dropped(self, vpn_pair, drive):
+        """A forged ``sslvpn`` packet with no record header is counted in
+        ``drops``; the receive worker survives to carry the next packet."""
+        sim, a, b, va, vb = vpn_pair
+        from repro.net.icmp import IcmpStack, ping
+
+        drive(sim, va.connect(vb.vpn_addr))
+        a.send_ip(B, "sslvpn", Packet(headers=()))
+        sim.run(until=sim.now + 1)
+        assert vb.drops == 1
+        icmp_a, _ = IcmpStack(a), IcmpStack(b)
+        rtts = drive(sim, ping(icmp_a, vb.vpn_addr, count=1, timeout=5.0))
+        assert rtts[0] is not None
 
     def test_address_validation(self, sim, server_keypair):
         node = Simulator and lan_pair(sim, "x", "y")[0]
