@@ -1,4 +1,4 @@
-"""Simulator fast-path benchmark: reference vs callback-lane engine.
+"""Simulator dataplane benchmark: absolute dispatch and iperf throughput.
 
 Two measurements, written to ``BENCH_sim.json`` at the repo root:
 
@@ -7,26 +7,25 @@ Two measurements, written to ``BENCH_sim.json`` at the repo root:
   callback lane (``sim.call_later`` chain).  This isolates the engine: no
   packets, no TCP, just heap pops and dispatch.
 
-* ``iperf_e2e`` — the headline acceptance number.  A full iperf transfer
-  over the LAN-pair testbed (TCP + links + routing) is run on the retained
-  reference engine/dataplane (``fast_path=False``: generator processes,
-  per-packet delivery processes, uncached lookups) and on the fast path
-  (``fast_path=True``).  Both modes produce bit-identical simulated results
-  (asserted here; the replay-digest tests prove event-trace equality), so
-  the ratio of simulated-packets-per-wall-second is a pure engine/dataplane
-  speedup.  Target: >= 3x.
+* ``iperf_e2e`` — a full iperf transfer over the LAN-pair testbed (TCP +
+  links + routing), reported as simulated packets per wall second.  The
+  simulated outcome (packet count and ``IperfResult``) must equal a pinned
+  value; a dataplane change that alters what is simulated fails the
+  benchmark whatever its speed.
 
-Wall-clock noise is handled by interleaving ref/fast rounds and taking the
-best (max packets-per-second) of each mode.
+Wall-clock noise is handled by taking the best round of each measurement.
+
+The report also carries, frozen, the last measured speedup of this
+dataplane over the retired reference engine (generator processes,
+per-packet delivery processes, uncached lookups) as historical provenance;
+that engine no longer exists, so the ratio is not re-measured.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_sim.py            # full, 3x target
-    PYTHONPATH=src python benchmarks/bench_sim.py --quick    # CI smoke, 2x floor
+    PYTHONPATH=src python benchmarks/bench_sim.py            # full
+    PYTHONPATH=src python benchmarks/bench_sim.py --quick    # CI smoke
 
-The quick mode uses a smaller transfer and fewer rounds and exits nonzero
-below a conservative 2x floor (loaded CI runners can halve throughput; the
-full run demonstrates the real >= 3x).
+Both modes exit nonzero if the simulated outcome differs from its pin.
 """
 
 from __future__ import annotations
@@ -49,15 +48,43 @@ except ImportError:  # pragma: no cover
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-FULL_TARGET = 3.0
-QUICK_FLOOR = 2.0
+#: Pinned simulated outcome per transfer size: (link packets, IperfResult
+#: repr).  Recorded where the fast path and the reference engine both ran
+#: and agreed.
+PINNED_IPERF = {
+    5_000_000: (
+        5239,
+        "IperfResult(bytes_received=5000000, duration=0.04200921600000024, "
+        "first_byte_at=0.000312864)",
+    ),
+    20_000_000: (
+        20946,
+        "IperfResult(bytes_received=20000000, duration=0.16535993599998883, "
+        "first_byte_at=0.000312864)",
+    ),
+}
+
+#: The last reference-vs-fast measurement, frozen (full mode: 20 MB transfer,
+#: best of 4 interleaved rounds).  Taken from an export of commit 264b5e0 on
+#: a 2-core Intel Xeon host with Python 3.11.7; the previously committed
+#: run reported 3.20x.
+HISTORICAL_REFERENCE_SPEEDUP = {
+    "source_revision": "264b5e0",
+    "host": "2-core Intel Xeon, Python 3.11.7",
+    "transfer_bytes": 20_000_000,
+    "simulated_packets": 20946,
+    "ref_packets_per_s": 13674.655029618623,
+    "fast_packets_per_s": 38299.97642665537,
+    "speedup": 2.800800191573354,
+    "previously_committed_speedup": 3.2001410127597403,
+}
 
 
 # -- scheduler microbench -----------------------------------------------------
 
 def _time_ticker(n_events: int) -> float:
     """Wall seconds for ``n_events`` process-lane timeout/resume cycles."""
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
 
     def ticker():
         timeout = sim.timeout
@@ -74,7 +101,7 @@ def _time_ticker(n_events: int) -> float:
 
 def _time_call_later_chain(n_events: int) -> float:
     """Wall seconds for ``n_events`` raw callback-lane timer firings."""
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
     remaining = n_events
 
     def tick():
@@ -111,9 +138,9 @@ def bench_dispatch(n_events: int, rounds: int) -> dict:
 
 # -- end-to-end iperf ---------------------------------------------------------
 
-def _run_iperf_once(fast: bool, n_bytes: int) -> tuple[float, int, object]:
+def _run_iperf_once(n_bytes: int) -> tuple[float, int, object]:
     """One transfer; returns (wall_s, simulated_packets, IperfResult)."""
-    sim = Simulator(fast_path=fast)
+    sim = Simulator()
     node_a, node_b = lan_pair(sim)
     tcp_a, tcp_b = TcpStack(node_a), TcpStack(node_b)
     box: list = []
@@ -128,43 +155,29 @@ def _run_iperf_once(fast: bool, n_bytes: int) -> tuple[float, int, object]:
     wall = time.perf_counter() - start
     sim.close()
     # Idle endpoints flush their batched tallies, and the heap is drained
-    # here, so the global counter is complete in both modes.
+    # here, so the global counter is complete.
     packets = METRICS.counter("link.tx_packets").value
     METRICS.reset()
     return wall, packets, box[0]
 
 
 def bench_iperf(n_bytes: int, rounds: int) -> dict:
-    ref_walls, fast_walls = [], []
-    packets = None
-    results = set()
-    # Interleave the modes so machine-load drift hits both equally; score
-    # each mode by its best round.
+    walls = []
+    outcomes = set()
     for _ in range(rounds):
-        ref_wall, ref_pkts, ref_res = _run_iperf_once(False, n_bytes)
-        fast_wall, fast_pkts, fast_res = _run_iperf_once(True, n_bytes)
-        if ref_pkts != fast_pkts or ref_res != fast_res:
-            raise AssertionError(
-                f"fast path diverged: ref=({ref_pkts}, {ref_res}) "
-                f"fast=({fast_pkts}, {fast_res})"
-            )
-        packets = ref_pkts
-        results.add(repr(ref_res))
-        ref_walls.append(ref_wall)
-        fast_walls.append(fast_wall)
-    assert len(results) == 1, "nondeterministic simulated result across rounds"
-    ref_pps = packets / min(ref_walls)
-    fast_pps = packets / min(fast_walls)
+        wall, packets, result = _run_iperf_once(n_bytes)
+        walls.append(wall)
+        outcomes.add((packets, repr(result)))
+    assert len(outcomes) == 1, "nondeterministic simulated result across rounds"
+    packets, result = outcomes.pop()
     return {
         "transfer_bytes": n_bytes,
         "rounds": rounds,
         "simulated_packets": packets,
-        "ref_wall_s": min(ref_walls),
-        "fast_wall_s": min(fast_walls),
-        "ref_packets_per_s": ref_pps,
-        "fast_packets_per_s": fast_pps,
-        "speedup": fast_pps / ref_pps,
-        "simulated_result": results.pop(),
+        "wall_s": min(walls),
+        "packets_per_s": packets / min(walls),
+        "simulated_result": result,
+        "matches_pin": (packets, result) == PINNED_IPERF[n_bytes],
     }
 
 
@@ -172,21 +185,18 @@ def run_bench(quick: bool = False) -> dict:
     if quick:
         dispatch = bench_dispatch(n_events=20_000, rounds=2)
         iperf = bench_iperf(n_bytes=5_000_000, rounds=2)
-        target = QUICK_FLOOR
     else:
         dispatch = bench_dispatch(n_events=100_000, rounds=3)
         iperf = bench_iperf(n_bytes=20_000_000, rounds=4)
-        target = FULL_TARGET
-    measured = iperf["speedup"]
     return {
         **provenance(),
         "mode": "quick" if quick else "full",
         "results": {"dispatch": dispatch, "iperf_e2e": iperf},
+        "historical": {"reference_engine_speedup": HISTORICAL_REFERENCE_SPEEDUP},
         "acceptance": {
-            "metric": "iperf_e2e.speedup",
-            "target_speedup": target,
-            "measured_speedup": measured,
-            "pass": measured >= target,
+            "metric": "iperf_e2e.simulated_result",
+            "pinned": list(PINNED_IPERF[iperf["transfer_bytes"]]),
+            "pass": iperf["matches_pin"],
         },
     }
 
@@ -207,12 +217,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"dispatch: process ticker {disp['process_ticker_events_per_s']:,.0f} ev/s, "
           f"call_later chain {disp['call_later_chain_events_per_s']:,.0f} ev/s "
           f"({disp['callback_lane_speedup']:.2f}x)")
-    print(f"iperf e2e: ref {e2e['ref_packets_per_s']:,.0f} pkt/s, "
-          f"fast {e2e['fast_packets_per_s']:,.0f} pkt/s "
-          f"({e2e['speedup']:.2f}x over {e2e['simulated_packets']} packets)")
+    print(f"iperf e2e: {e2e['packets_per_s']:,.0f} pkt/s "
+          f"over {e2e['simulated_packets']} packets")
     acc = report["acceptance"]
-    print(f"acceptance: {acc['measured_speedup']:.2f}x vs {acc['target_speedup']}x target "
-          f"-> {'PASS' if acc['pass'] else 'FAIL'}  (written to {path})")
+    print(f"acceptance: simulated result {'matches' if acc['pass'] else 'DIFFERS FROM'} "
+          f"pin -> {'PASS' if acc['pass'] else 'FAIL'}  (written to {path})")
     return 0 if acc["pass"] else 1
 
 

@@ -98,9 +98,8 @@ class Node:
         self.cpu_scale = cpu_scale
         self.cost_model = cost_model or CostModel()
         self.forwarding = forwarding
-        self._fast = sim.fast_path
         self._addr_cache: frozenset[IPAddress] | None = None
-        # One-entry identity caches for the dataplane fast path.  Parsed
+        # One-entry identity caches for the dataplane.  Parsed
         # addresses are interned (lru_cache in repro.net.addresses) and a
         # connection reuses the same address objects for every packet, so an
         # ``is`` check replaces a hashed set lookup almost every time.
@@ -218,30 +217,15 @@ class Node:
             if src is None:
                 self.dropped_no_route += 1
                 return False
-        if self._fast:
-            # Same result as ``payload_packet.pushed(...)`` without the
-            # ``dataclasses.replace`` machinery — this runs once per
-            # locally-originated packet.  Headers are immutable values, so a
-            # flow's identical (src, dst, proto, ttl) header is shared
-            # between consecutive packets instead of rebuilt.
-            hdr = self._ip_hdr_cache
-            if (
-                hdr is None
-                or hdr.dst is not dst
-                or hdr.src is not src
-                or hdr.ttl != ttl
-                or hdr.proto != proto
-            ):
-                hdr = IPHeader(src=src, dst=dst, proto=proto, ttl=ttl)
-                self._ip_hdr_cache = hdr
-            packet = Packet(
-                headers=(hdr,) + payload_packet.headers,
-                payload=payload_packet.payload,
-                meta=payload_packet.meta,
-                packet_id=payload_packet.packet_id,
-            )
-        else:
-            packet = payload_packet.pushed(IPHeader(src=src, dst=dst, proto=proto, ttl=ttl))
+        # Same result as ``payload_packet.pushed(...)`` without the
+        # ``dataclasses.replace`` machinery — this runs once per
+        # locally-originated packet.
+        packet = Packet(
+            headers=(self._ip_header(src, dst, proto, ttl),) + payload_packet.headers,
+            payload=payload_packet.payload,
+            meta=payload_packet.meta,
+            packet_id=payload_packet.packet_id,
+        )
         if not bypass_shims:
             for shim in self._output_shims:
                 result = shim(self, packet)
@@ -259,28 +243,18 @@ class Node:
         src: IPAddress | None = None,
         ttl: int = 64,
     ) -> bool:
-        """Fast-path :meth:`send_ip` taking raw (headers, payload).
+        """:meth:`send_ip` taking raw (headers, payload).
 
         Behaviourally identical to wrapping ``Packet(headers, payload)`` in
         :meth:`send_ip`, but builds the wire packet in one allocation instead
-        of inner-packet-then-push.  Only used when ``sim.fast_path`` is on.
+        of inner-packet-then-push.
         """
         if src is None:
             src = self._pick_source(dst)
             if src is None:
                 self.dropped_no_route += 1
                 return False
-        hdr = self._ip_hdr_cache
-        if (
-            hdr is None
-            or hdr.dst is not dst
-            or hdr.src is not src
-            or hdr.ttl != ttl
-            or hdr.proto != proto
-        ):
-            hdr = IPHeader(src=src, dst=dst, proto=proto, ttl=ttl)
-            self._ip_hdr_cache = hdr
-        packet = Packet((hdr,) + headers, payload)
+        packet = Packet((self._ip_header(src, dst, proto, ttl),) + headers, payload)
         shims = self._output_shims
         if shims:
             for shim in shims:
@@ -289,6 +263,25 @@ class Node:
                     return True  # consumed by the shim
                 packet = result
         return self._route_out(packet)
+
+    def _ip_header(
+        self, src: IPAddress, dst: IPAddress, proto: str, ttl: int
+    ) -> IPHeader:
+        """The IP header for a local send, shared across a flow's packets.
+
+        Headers are immutable values, so a flow's identical (src, dst, proto,
+        ttl) header is reused between consecutive packets instead of rebuilt.
+        """
+        hdr = self._ip_hdr_cache
+        if (
+            hdr is None
+            or hdr.dst is not dst
+            or hdr.src is not src
+            or hdr.ttl != ttl
+            or hdr.proto != proto
+        ):
+            hdr = self._ip_hdr_cache = IPHeader(src=src, dst=dst, proto=proto, ttl=ttl)
+        return hdr
 
     def _pick_source(self, dst: IPAddress) -> IPAddress | None:
         iface = self.routes.lookup(dst)
@@ -304,62 +297,34 @@ class Node:
         return None
 
     def _route_out(self, packet: Packet) -> bool:
-        if self._fast:
-            ip = packet.headers[0]
-            dst = ip.dst
-            if dst is self._addr_hit:
-                self._dispatch_local(packet, None)
-                return True
-            if dst in self._addrs():
-                self._addr_hit = dst
-                self._dispatch_local(packet, None)
-                return True
-            iface = self.routes.lookup_cached(dst)
-            endpoint = None if iface is None else iface._endpoint
-            if endpoint is None:  # no route, or egress not attached to a link
-                self.dropped_no_route += 1
-                return False
-            return endpoint.send(packet)
-        ip = packet.outer
-        assert isinstance(ip, IPHeader)
-        if self.has_address(ip.dst):
+        dst = packet.headers[0].dst
+        if dst is self._addr_hit or dst in self._addrs():
             # Loopback delivery stays inside the node.
+            self._addr_hit = dst
             self._dispatch_local(packet, None)
             return True
-        iface = self.routes.lookup(ip.dst)
-        if iface is None or not iface.is_attached:
+        iface = self.routes.lookup_cached(dst)
+        endpoint = None if iface is None else iface._endpoint
+        if endpoint is None:  # no route, or egress not attached to a link
             self.dropped_no_route += 1
             return False
-        return iface.send(packet)
+        return endpoint.send(packet)
 
     # -- receiving ---------------------------------------------------------------------
     def _on_receive(self, packet: Packet, iface: Interface | None) -> None:
-        if self._fast:
-            headers = packet.headers
-            ip = headers[0] if headers else None
-            if not isinstance(ip, IPHeader):
-                self.dropped_no_handler += 1
-                return
-            dst = ip.dst
-            if dst is self._addr_hit or dst in self._addrs():
-                self._addr_hit = dst
-                handler = self._protocol_handlers.get(ip.proto)
-                if handler is None:
-                    self.dropped_no_handler += 1
-                    return
-                handler(self, packet, iface)
-                return
-            if self.forwarding:
-                self._forward(packet)
-                return
-            self.dropped_no_route += 1
-            return
-        ip = packet.outer
+        headers = packet.headers
+        ip = headers[0] if headers else None
         if not isinstance(ip, IPHeader):
             self.dropped_no_handler += 1
             return
-        if self.has_address(ip.dst):
-            self._dispatch_local(packet, iface)
+        dst = ip.dst
+        if dst is self._addr_hit or dst in self._addrs():
+            self._addr_hit = dst
+            handler = self._protocol_handlers.get(ip.proto)
+            if handler is None:
+                self.dropped_no_handler += 1
+                return
+            handler(self, packet, iface)
             return
         if self.forwarding:
             self._forward(packet)
@@ -376,34 +341,19 @@ class Node:
         handler(self, packet, iface)  # type: ignore[arg-type]
 
     def _forward(self, packet: Packet) -> None:
-        if self._fast:
-            headers = packet.headers
-            ip = headers[0]
-            if ip.ttl <= 1:
-                self.dropped_ttl += 1
-                return
-            fresh = Packet(
-                headers=(IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1),)
-                + headers[1:],
-                payload=packet.payload,
-                meta=packet.meta,
-                packet_id=packet.packet_id,
-            )
-            egress = self.routes.lookup_cached(ip.dst)
-            if egress is None or not egress.is_attached:
-                self.dropped_no_route += 1
-                return
-            egress.send(fresh)
-            return
-        ip, inner = packet.popped()
-        assert isinstance(ip, IPHeader)
+        headers = packet.headers
+        ip = headers[0]
         if ip.ttl <= 1:
             self.dropped_ttl += 1
             return
-        fresh = inner.pushed(
-            IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1)
+        fresh = Packet(
+            headers=(IPHeader(src=ip.src, dst=ip.dst, proto=ip.proto, ttl=ip.ttl - 1),)
+            + headers[1:],
+            payload=packet.payload,
+            meta=packet.meta,
+            packet_id=packet.packet_id,
         )
-        egress = self.routes.lookup(ip.dst)
+        egress = self.routes.lookup_cached(ip.dst)
         if egress is None or not egress.is_attached:
             self.dropped_no_route += 1
             return

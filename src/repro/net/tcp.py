@@ -93,7 +93,7 @@ FLUID_CHUNK_S = 0.25
 FLUID_PROBE_RETRIES = 3
 
 #: Shared flag set for the overwhelmingly common case (data segments and
-#: pure ACKs) — the fast path reuses it instead of allocating a fresh
+#: pure ACKs) — ``_send_segment`` reuses it instead of allocating a fresh
 #: ``frozenset`` per segment.
 _ACK_FLAGS = frozenset({"ACK"})
 _NO_FLAGS: frozenset[str] = frozenset()
@@ -158,12 +158,7 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_addr = remote_addr
         self.remote_port = remote_port
-        # Timer-process names, formatted once: the arm paths run per event.
-        self._persist_proc_name = f"tcp-persist-{local_port}"
-        self._pace_proc_name = f"tcp-pace-{local_port}"
-        self._rto_proc_name = f"tcp-rto-{local_port}"
         self.mss = mss
-        self._fast = self.sim.fast_path
         self.state = "CLOSED"
 
         # --- send side ---
@@ -180,9 +175,8 @@ class TcpConnection:
         self.rttvar = 0.0
         self.rto = 1.0
         self._handshake_retx = 0
-        self._timer_gen = 0
-        self._rto_timer = None  # TimerHandle (fast path); rearmed in place
-        self._delack_handle = None  # TimerHandle (fast path); rearmed in place
+        self._rto_timer = None  # TimerHandle; rearmed in place
+        self._delack_handle = None  # TimerHandle; rearmed in place
         # NewReno fast-recovery state (RFC 6582) + SACK scoreboard (RFC 2018).
         self.cc = cc
         self.sack_enabled = cc == "newreno"
@@ -198,17 +192,15 @@ class TcpConnection:
         self.ecn_reductions = 0
         # Zero-window persist (probe a closed peer window, RFC 1122).
         self._persist_armed = False
-        self._persist_timer = None  # TimerHandle (fast path)
-        self._persist_gen = 0
+        self._persist_timer = None  # TimerHandle
         self._persist_backoff = PERSIST_MIN
         self.zero_window_probes = 0
         # Pacing: spread segments at cwnd/srtt through the callback lane
         # instead of bursting the whole window per ACK.
         self.pacing = pacing
         self._pace_armed = False
-        self._pace_timer = None  # TimerHandle (fast path)
-        self._pace_gen = 0
-        # Fast path: bulk senders cut identical VirtualPayload slices (one
+        self._pace_timer = None  # TimerHandle
+        # Bulk senders cut identical VirtualPayload slices (one
         # MSS each) for thousands of segments in a row; VirtualPayload is
         # immutable, so one shared instance per (size, tag) is safe.
         self._vp_cache: VirtualPayload | None = None
@@ -389,36 +381,27 @@ class TcpConnection:
             eff_flags = flags
         elif flags:
             eff_flags = flags | _ACK_FLAGS
-        elif self._fast:
-            eff_flags = _ACK_FLAGS  # shared set, no per-segment allocation
         else:
-            eff_flags = flags | frozenset({"ACK"})  # reference path, as before
+            eff_flags = _ACK_FLAGS  # shared set, no per-segment allocation
         if self._ecn_echo:
             eff_flags = eff_flags | _ECE_FLAGS
         if self._cwr_pending:
             eff_flags = eff_flags | _CWR_FLAGS
             self._cwr_pending = False
-        if self._fast:
-            # ``_rx_backlog()`` is a constant 0 — skip the call per segment.
-            window = self.recv_window
-        else:
-            window = max(0, self.recv_window - self._rx_backlog())
+        # The rx queue is drained by the app; modeling receive backlog is out
+        # of scope, so the advertised window is the configured one.
         header = TCPHeader(
             self.local_port,
             self.remote_port,
             self.snd_nxt if seq is None else seq,
             self.rcv_nxt,
             eff_flags,
-            window,
+            self.recv_window,
             self._sack_blocks() if (self.sack_enabled and self.ooo) else _EMPTY_SACK,
         )
-        if self._fast:
-            self.node.send_ip_fast(
-                self.remote_addr, "tcp", (header,), payload, self.local_addr
-            )
-        else:
-            packet = Packet(headers=(header,), payload=payload)
-            self.node.send_ip(self.remote_addr, "tcp", packet, src=self.local_addr)
+        self.node.send_ip_fast(
+            self.remote_addr, "tcp", (header,), payload, self.local_addr
+        )
         self.segments_sent += 1
         _SEGMENTS_SENT.value += 1
         if RECORDER.enabled:
@@ -449,9 +432,6 @@ class TcpConnection:
                     "retx": 0,
                 }
             self.inflight.append(entry)
-
-    def _rx_backlog(self) -> int:
-        return 0  # the rx queue is drained by the app; modeling backlog is out of scope
 
     def _pump(self) -> None:
         """Send as much queued data as the congestion/flow windows allow."""
@@ -515,7 +495,7 @@ class TcpConnection:
             clen = len(chunk)
             if start <= seq < start + clen:
                 take = min(length, start + clen - seq)
-                if self._fast and isinstance(chunk, VirtualPayload):
+                if isinstance(chunk, VirtualPayload):
                     key = (take, chunk.tag)
                     if key == self._vp_cache_key:
                         return self._vp_cache
@@ -532,26 +512,13 @@ class TcpConnection:
         self._persist_rearm(self._persist_backoff)
 
     def _persist_rearm(self, delay: float) -> None:
-        if self._fast:
-            handle = self._persist_timer
-            if handle is None:
-                self._persist_timer = self.sim.call_later(
-                    delay, TcpConnection._persist_fired, self
-                )
-            else:
-                handle.rearm(delay)
-            return
-        self._persist_gen += 1
-        self.sim.process(
-            self._persist_proc(self._persist_gen, delay),
-            name=self._persist_proc_name,
-        )
-
-    def _persist_proc(self, gen: int, delay: float) -> Generator:
-        yield self.sim.timeout(delay)
-        if gen != self._persist_gen:
-            return
-        self._persist_fired()
+        handle = self._persist_timer
+        if handle is None:
+            self._persist_timer = self.sim.call_later(
+                delay, TcpConnection._persist_fired, self
+            )
+        else:
+            handle.rearm(delay)
 
     def _persist_fired(self) -> None:
         if not self._persist_armed or self.state == "CLOSED":
@@ -599,7 +566,6 @@ class TcpConnection:
         if not self._persist_armed:
             return
         self._persist_armed = False
-        self._persist_gen += 1  # invalidates reference-path processes
         self._persist_backoff = PERSIST_MIN
         if self._persist_timer is not None:
             self._persist_timer.cancel()
@@ -652,26 +618,13 @@ class TcpConnection:
             self._arm_timer()
 
     def _pace_rearm(self, delay: float) -> None:
-        if self._fast:
-            handle = self._pace_timer
-            if handle is None:
-                self._pace_timer = self.sim.call_later(
-                    delay, TcpConnection._pace_fired, self
-                )
-            else:
-                handle.rearm(delay)
-            return
-        self._pace_gen += 1
-        self.sim.process(
-            self._pace_proc(self._pace_gen, delay),
-            name=self._pace_proc_name,
-        )
-
-    def _pace_proc(self, gen: int, delay: float) -> Generator:
-        yield self.sim.timeout(delay)
-        if gen != self._pace_gen:
-            return
-        self._pace_fired()
+        handle = self._pace_timer
+        if handle is None:
+            self._pace_timer = self.sim.call_later(
+                delay, TcpConnection._pace_fired, self
+            )
+        else:
+            handle.rearm(delay)
 
     def _pace_fired(self) -> None:
         if not self._pace_armed or self.state == "CLOSED":
@@ -681,44 +634,30 @@ class TcpConnection:
 
     # -- timers -----------------------------------------------------------------------
     def _arm_timer(self) -> None:
-        if self._fast:
-            # Callback-lane timer, rearmed in place: no generator process,
-            # no Event, no per-arm name string.  Stale firings are skipped
-            # by the handle's lazy-deletion check in the engine.
-            handle = self._rto_timer
-            if handle is None:
-                self._rto_timer = self.sim.call_later(
-                    self.rto, TcpConnection._rto_fired, self
-                )
-            else:
-                # Inlined ``TimerHandle.rearm`` (self.rto is clamped > 0).
-                sim = self.sim
-                # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
-                sim._seq += 1
-                seq = sim._seq
-                handle._when = when = sim._now + self.rto
-                handle._entry_seq = seq
-                heappush(sim._heap, (when, seq, _KIND_CALL, handle))
-            return
-        self._timer_gen += 1
-        gen = self._timer_gen
-        self.sim.process(self._timer(gen), name=self._rto_proc_name)
+        # Callback-lane timer, rearmed in place: no generator process, no
+        # Event.  Stale firings are skipped by the handle's lazy-deletion
+        # check in the engine.
+        handle = self._rto_timer
+        if handle is None:
+            self._rto_timer = self.sim.call_later(
+                self.rto, TcpConnection._rto_fired, self
+            )
+        else:
+            # Inlined ``TimerHandle.rearm`` (self.rto is clamped > 0).
+            sim = self.sim
+            # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
+            sim._seq += 1
+            seq = sim._seq
+            handle._when = when = sim._now + self.rto
+            handle._entry_seq = seq
+            heappush(sim._heap, (when, seq, _KIND_CALL, handle))
 
     def _cancel_timer(self) -> None:
-        self._timer_gen += 1  # invalidates reference-path timer processes
         if self._rto_timer is not None:
             self._rto_timer.cancel()
 
     def _rto_fired(self) -> None:
         if self.state == "CLOSED":
-            return
-        if self.snd_una >= self.snd_nxt and self.state in ("ESTABLISHED",):
-            return  # everything acked meanwhile
-        self._on_rto()
-
-    def _timer(self, gen: int) -> Generator:
-        yield self.sim.timeout(self.rto)
-        if gen != self._timer_gen or self.state == "CLOSED":
             return
         if self.snd_una >= self.snd_nxt and self.state in ("ESTABLISHED",):
             return  # everything acked meanwhile
@@ -731,10 +670,8 @@ class TcpConnection:
                 self._teardown(TcpError("connection attempt timed out"))
                 return
             if self.state == "SYN_SENT":
-                # repro: ignore[PERF001] -- handshake RTO slow path: one dict per retransmission timeout, not per segment
                 seg = {"seq": 0, "flags": frozenset({"SYN"}), "payload": b""}
             else:
-                # repro: ignore[PERF001] -- handshake RTO slow path: one dict per retransmission timeout, not per segment
                 seg = {"seq": 0, "flags": frozenset({"SYN", "ACK"}), "payload": b""}
         elif self.inflight:
             entry = self.inflight[0]
@@ -1412,35 +1349,26 @@ class TcpConnection:
             self._ack_now()
         elif not self._delack_timer_armed:
             self._delack_timer_armed = True
-            if self._fast:
-                handle = self._delack_handle
-                if handle is None:
-                    self._delack_handle = self.sim.call_later(
-                        DELACK_TIMEOUT, TcpConnection._delack_fired, self
-                    )
-                else:
-                    # Inlined ``TimerHandle.rearm`` (constant positive delay).
-                    sim = self.sim
-                    # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
-                    sim._seq += 1
-                    seq = sim._seq
-                    handle._when = when = sim._now + DELACK_TIMEOUT
-                    handle._entry_seq = seq
-                    heappush(sim._heap, (when, seq, _KIND_CALL, handle))
+            handle = self._delack_handle
+            if handle is None:
+                self._delack_handle = self.sim.call_later(
+                    DELACK_TIMEOUT, TcpConnection._delack_fired, self
+                )
             else:
-                self.sim.process(self._delack_timer(), name="tcp-delack")
+                # Inlined ``TimerHandle.rearm`` (constant positive delay).
+                sim = self.sim
+                # repro: ignore[ISO002] -- benchmarked fast-path inlining of TimerHandle.rearm on this connection's own simulator (PR 5), not cross-shard state
+                sim._seq += 1
+                seq = sim._seq
+                handle._when = when = sim._now + DELACK_TIMEOUT
+                handle._entry_seq = seq
+                heappush(sim._heap, (when, seq, _KIND_CALL, handle))
 
     def _ack_now(self) -> None:
         self._delack_pending = 0
         self._send_segment()  # cumulative ACK
 
     def _delack_fired(self) -> None:
-        self._delack_timer_armed = False
-        if self._delack_pending and self.state not in ("CLOSED",):
-            self._ack_now()
-
-    def _delack_timer(self) -> Generator:
-        yield self.sim.timeout(DELACK_TIMEOUT)
         self._delack_timer_armed = False
         if self._delack_pending and self.state not in ("CLOSED",):
             self._ack_now()
@@ -1477,7 +1405,6 @@ class TcpConnection:
             self._delack_timer_armed = False
         self._persist_stop()
         self._pace_armed = False
-        self._pace_gen += 1
         if self._pace_timer is not None:
             self._pace_timer.cancel()
         if self._fluid_timer is not None:
@@ -1559,9 +1486,10 @@ class TcpStack:
         #: (the demux tuple would collide).
         self._local_ports: dict[int, int] = {}
         self._next_ephemeral = 33000
-        self._fast = node.sim.fast_path
         node.register_protocol("tcp", self._on_packet)
         self.rx_unmatched = 0
+        #: Forged packets without a TCP header, counted and dropped.
+        self.rx_dropped = 0
 
     # -- API ----------------------------------------------------------------------
     def listen(
@@ -1653,20 +1581,15 @@ class TcpStack:
             listener.backlog.try_put(conn)
 
     def _on_packet(self, node: "Node", packet: Packet, iface: "Interface | None") -> None:
-        if self._fast:
-            # Index the header stack in place: ``popped()`` allocates a new
-            # Packet per layer via ``dataclasses.replace`` and this handler
-            # runs once per delivered segment.  The inner packet's payload
-            # is the same object, so nothing else changes.
-            headers = packet.headers
-            ip = headers[0]
-            tcp = headers[1]
-            body_payload = packet.payload
-        else:
-            ip, inner = packet.popped()
-            tcp, body = inner.popped()
-            body_payload = body.payload
-            assert isinstance(tcp, TCPHeader)
+        # Index the header stack in place: ``popped()`` allocates a new
+        # Packet per layer and this handler runs once per delivered segment.
+        headers = packet.headers
+        tcp = headers[1] if len(headers) > 1 else None
+        if not isinstance(tcp, TCPHeader):
+            self.rx_dropped += 1
+            return
+        ip = headers[0]
+        body_payload = packet.payload
         key = self._key(tcp.dst_port, ip.src, tcp.src_port)
         conn = self._connections.get(key)
         if conn is not None:

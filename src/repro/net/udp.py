@@ -86,12 +86,16 @@ class UdpStack:
         self._sockets.pop(port, None)
 
     def _on_packet(self, node: "Node", packet: Packet, iface: "Interface | None") -> None:
-        ip, inner = packet.popped()
-        udp, body = inner.popped()
-        assert isinstance(udp, UDPHeader)
+        # Read the header stack in place; a forged packet without a UDP
+        # header is counted and dropped like any undeliverable datagram.
+        headers = packet.headers
+        udp = headers[1] if len(headers) > 1 else None
+        if not isinstance(udp, UDPHeader):
+            self.rx_dropped += 1
+            return
         sock = self._sockets.get(udp.dst_port)
         if sock is None or sock.closed:
             self.rx_dropped += 1
             return
-        if not sock.rx.try_put((body.payload, (ip.src, udp.src_port))):
+        if not sock.rx.try_put((packet.payload, (headers[0].src, udp.src_port))):
             self.rx_dropped += 1

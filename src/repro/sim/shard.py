@@ -10,7 +10,7 @@ full window without ever receiving a message "from the past".
 
 Cross-shard links are modeled by :class:`ShardPortal` — the egress half of a
 point-to-point link whose far interface lives in another shard.  The portal
-replicates :class:`~repro.net.link.LinkEndpoint` fast-path float arithmetic
+replicates :class:`~repro.net.link.LinkEndpoint` serializer float arithmetic
 exactly (serialize at the head-of-line, then propagate), so a topology split
 across shards produces bit-identical timestamps to the same topology wired
 with in-process links.  Transmitted packets become :class:`Envelope` records;
@@ -49,8 +49,7 @@ min-heap keyed ``(arrival, src_index, seq)`` and folded into the SHA-256
 only once the barrier clock passes their arrival time.  Every envelope
 produced after a barrier at ``T`` arrives strictly later than ``T``, so the
 drained sequence is the globally sorted envelope stream — identical for the
-static schedule, any adaptive schedule, inline workers, forked workers and
-the reference engine.
+static schedule, any adaptive schedule, inline workers and forked workers.
 
 Determinism rules for shard authors:
 
@@ -287,7 +286,7 @@ def decode_envelopes(buf: bytes, offset: int = 0) -> tuple[list[Envelope], int]:
 class ShardPortal:
     """Egress half of a cross-shard link (the far interface is remote).
 
-    Mirrors the :class:`~repro.net.link.LinkEndpoint` fast path's float
+    Mirrors the :class:`~repro.net.link.LinkEndpoint` serializer's float
     arithmetic: a packet arriving to an idle serializer starts transmitting
     at ``now``, a queued packet starts exactly when the previous
     transmission completes, and delivery is transmission-complete plus the
@@ -378,19 +377,14 @@ class ShardPortal:
         self.tx_bytes += n_bytes
         self.shard.ledger.add_tx(n_segments, n_bytes)
 
-    def flush_stats(self) -> None:  # counters are unbatched here
-        return None
-
 
 class Shard:
     """One partition: its own simulator, RNG namespace, and boundary ports."""
 
-    def __init__(
-        self, name: str, index: int, seed: int, fast_path: bool | None = None
-    ) -> None:
+    def __init__(self, name: str, index: int, seed: int) -> None:
         self.name = name
         self.index = index
-        self.sim = Simulator(fast_path=fast_path)
+        self.sim = Simulator()
         #: Shard-owned link accounting: a *non-publishing* ledger installed
         #: before the builder runs, so every LinkEndpoint (and portal) this
         #: shard creates books into simulator-owned state instead of the
@@ -511,7 +505,6 @@ class _InlineWorker:
         name: str,
         index: int,
         seed: int,
-        fast_path: bool | None,
         builder: Builder,
         kwargs: dict[str, Any],
     ) -> None:
@@ -519,7 +512,7 @@ class _InlineWorker:
         self.bytes_tx = 0
         self.bytes_rx = 0
         self._window: tuple[float, list[Envelope]] | None = None
-        self.shard = Shard(name, index, seed, fast_path=fast_path)
+        self.shard = Shard(name, index, seed)
         builder(self.shard, **kwargs)
 
     def ports(self) -> dict[str, Any]:
@@ -537,14 +530,6 @@ class _InlineWorker:
         out, peek, delta = self.shard.advance(window_end)
         return out, peek, delta, 0.0
 
-    def window(
-        self, window_end: float, envelopes: list[Envelope]
-    ) -> tuple[list[Envelope], float, tuple[int, ...]]:
-        """Blocking one-shot window (kept for tests and direct drivers)."""
-        self.start_window(window_end, envelopes)
-        out, peek, delta, _busy = self.collect_window()
-        return out, peek, delta
-
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         return self.shard.finish()
 
@@ -557,7 +542,6 @@ def _worker_main(
     name: str,
     index: int,
     seed: int,
-    fast_path: bool | None,
     builder: Builder,
     kwargs: dict[str, Any],
 ) -> None:
@@ -574,7 +558,7 @@ def _worker_main(
     ======  =========================================================
     """
     try:
-        shard = Shard(name, index, seed, fast_path=fast_path)
+        shard = Shard(name, index, seed)
         builder(shard, **kwargs)
         conn.send_bytes(b"P" + pickle.dumps(shard.ports(), _PICKLE_PROTO))
     except BaseException as exc:  # noqa: BLE001 - report, then die
@@ -623,7 +607,6 @@ class _ProcessWorker:
         name: str,
         index: int,
         seed: int,
-        fast_path: bool | None,
         builder: Builder,
         kwargs: dict[str, Any],
     ) -> None:
@@ -635,7 +618,7 @@ class _ProcessWorker:
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, name, index, seed, fast_path, builder, kwargs),
+            args=(child_conn, name, index, seed, builder, kwargs),
             daemon=True,
         )
         self._proc.start()
@@ -710,14 +693,6 @@ class _ProcessWorker:
         peek, d0, d1, d2, d3, d4, busy = _REPLY_TAIL.unpack_from(msg, offset)
         return envelopes, peek, (d0, d1, d2, d3, d4), busy
 
-    def window(
-        self, window_end: float, envelopes: list[Envelope]
-    ) -> tuple[list[Envelope], float, tuple[int, ...]]:
-        """Blocking one-shot window (kept for tests and direct drivers)."""
-        self.start_window(window_end, envelopes)
-        out, peek, delta, _busy = self.collect_window()
-        return out, peek, delta
-
     def finish(self) -> tuple[Any, tuple[int, ...]]:
         self._send(b"F")
         return pickle.loads(self._expect(b"F")[1:])
@@ -772,7 +747,6 @@ class ShardedSimulation:
         seed: int,
         lookahead: float | None = None,
         parallel: bool = False,
-        fast_path: bool | None = None,
         adaptive: bool = True,
     ) -> None:
         if not builders:
@@ -796,7 +770,7 @@ class ShardedSimulation:
                 sorted(builders.items())
             ):
                 self.workers[name] = worker_cls(
-                    name, index, seed, fast_path, builder, kwargs
+                    name, index, seed, builder, kwargs
                 )
             self._validate_ports(lookahead)
         except BaseException:

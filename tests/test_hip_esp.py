@@ -90,7 +90,7 @@ class TestProtectVerify:
         with pytest.raises(EspError, match="SPI"):
             other.verify(header, ct)
 
-    def test_virtual_payload_fast_path(self):
+    def test_virtual_payload_skips_cipher(self):
         out_sa, in_sa = make_sa(), make_sa()
         inner = sample_inner(VirtualPayload(5000))
         header, ct = out_sa.protect(inner)

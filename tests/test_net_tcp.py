@@ -5,7 +5,7 @@ import pytest
 from repro.net.addresses import ipv4
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.net.packet import VirtualPayload
+from repro.net.packet import Packet, UDPHeader, VirtualPayload
 from repro.net.tcp import DEFAULT_MSS, TcpError, TcpStack
 from repro.net.topology import lan_pair
 from repro.sim import RngStreams, Simulator
@@ -56,6 +56,28 @@ class TestHandshakeAndData:
 
         proc = sim.process(client())
         assert sim.run(until=proc) == "CLOSED"
+
+    @pytest.mark.parametrize(
+        "headers", [(), (UDPHeader(1, 80),)], ids=["header-less", "udp-in-tcp-slot"]
+    )
+    def test_forged_packet_with_malformed_header_dropped(self, stacks, headers):
+        """A forged ``tcp`` packet with no TCP header is counted and dropped;
+        the stack survives to serve the next real connection."""
+        sim, ta, tb = stacks
+        echo_server(sim, tb)
+        ta.node.send_ip(B, "tcp", Packet(headers=headers))
+        sim.run(until=sim.now + 1)
+        assert tb.rx_dropped == 1
+        assert tb.rx_unmatched == 0
+
+        def client():
+            conn = yield sim.process(ta.open_connection(B, 80))
+            conn.write(b"hello")
+            reply = yield from conn.recv_bytes(5)
+            return reply
+
+        proc = sim.process(client())
+        assert sim.run(until=proc) == b"olleh"
 
     def test_large_real_transfer_integrity(self, stacks):
         sim, ta, tb = stacks

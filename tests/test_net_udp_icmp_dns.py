@@ -15,6 +15,7 @@ from repro.net.dns import (
     encode_response,
 )
 from repro.net.icmp import IcmpStack, ping
+from repro.net.packet import ICMPHeader, Packet, UDPHeader
 from repro.net.topology import lan_pair
 from repro.net.udp import UdpStack
 
@@ -42,6 +43,29 @@ class TestUdp:
         ua, ub = UdpStack(a), UdpStack(b)
         ua.bind(1234).sendto(b"x", B, 9999)
         sim.run()
+        assert ub.rx_dropped == 1
+
+    @pytest.mark.parametrize(
+        "headers",
+        [(), (ICMPHeader(kind="echo-request", ident=1, seq=1),)],
+        ids=["header-less", "icmp-in-udp-slot"],
+    )
+    def test_forged_packet_with_malformed_header_dropped(self, lan, drive, headers):
+        """A forged ``udp`` packet with no UDP header is counted and dropped;
+        the stack survives to deliver the next real datagram."""
+        sim, a, b = lan
+        ua, ub = UdpStack(a), UdpStack(b)
+        server = ub.bind(5000)
+        a.send_ip(B, "udp", Packet(headers=headers))
+        sim.run(until=sim.now + 1)
+        assert ub.rx_dropped == 1
+
+        def flow():
+            ua.bind(0).sendto(b"ping", B, 5000)
+            data, _ = yield server.recvfrom()
+            return bytes(data)
+
+        assert drive(sim, flow()) == b"ping"
         assert ub.rx_dropped == 1
 
     def test_double_bind_rejected(self, lan):
@@ -84,6 +108,21 @@ class TestIcmp:
             assert rtt is not None
             # 2 x 100 us propagation + serialization + reply cost.
             assert 2e-4 < rtt < 1e-3
+
+    @pytest.mark.parametrize(
+        "headers", [(), (UDPHeader(1, 2),)], ids=["header-less", "udp-in-icmp-slot"]
+    )
+    def test_forged_packet_with_malformed_header_dropped(self, lan, drive, headers):
+        """A forged ``icmp`` packet with no ICMP header is counted and
+        dropped; the stack survives to answer the next real echo request."""
+        sim, a, b = lan
+        icmp_a, icmp_b = IcmpStack(a), IcmpStack(b)
+        a.send_ip(B, "icmp", Packet(headers=headers))
+        sim.run(until=sim.now + 1)
+        assert icmp_b.rx_dropped == 1
+        rtts = drive(sim, ping(icmp_a, B, count=1, timeout=5.0))
+        assert rtts[0] is not None
+        assert icmp_b.rx_dropped == 1
 
     def test_ping_unreachable_times_out(self, lan, drive):
         sim, a, b = lan
